@@ -7,11 +7,11 @@ recall.  This bench quantifies that gap.
 """
 
 from repro.core import QpiadConfig, QpiadMediator
-from repro.core.ranking import order_rewritten_queries
 from repro.core.results import QueryResult, RankedAnswer, RetrievalStats
 from repro.core.rewriting import generate_rewritten_queries
 from repro.errors import RewritingError
 from repro.evaluation import render_table, selection_workload
+from repro.planner.ranker import order_rewritten_queries
 from repro.query.executor import certain_answers
 from repro.relational.values import is_null
 

@@ -34,13 +34,12 @@ from repro.core import (
     QpiadMediator,
     QueryResult,
     RankedAnswer,
-    RewrittenQuery,
     all_ranked,
     all_returned,
     find_correlated_source,
-    generate_rewritten_queries,
-    order_rewritten_queries,
 )
+from repro.core.rewriting import RewrittenQuery, generate_rewritten_queries
+from repro.planner.ranker import order_rewritten_queries
 from repro.datasets import (
     IncompleteDataset,
     generate_cars,

@@ -154,9 +154,8 @@ _REWRITE_STAGE_CALLS = frozenset(
 )
 
 #: Modules that legitimately *implement* the rewrite pipeline and so may
-#: name its stage functions: the stage implementations themselves and the
-#: compatibility shim that re-exports the moved ranking functions.
-_REWRITE_PIPELINE_MODULES = ("repro.core.rewriting", "repro.core.ranking")
+#: name its stage functions: the stage implementations themselves.
+_REWRITE_PIPELINE_MODULES = ("repro.core.rewriting",)
 
 
 class RawRewriteCallRule(Rule):
@@ -187,7 +186,7 @@ class RawRewriteCallRule(Rule):
         if not context.in_package(*self.packages):
             return
         if context.in_package(*_REWRITE_PIPELINE_MODULES):
-            return  # the pipeline's own implementation and its shim
+            return  # the pipeline's own implementation
         for node in ast.walk(context.tree):
             if isinstance(node, ast.Call):
                 name = _attr_or_name(node.func)

@@ -1,4 +1,8 @@
-"""QPIAD core: rewriting, ranking, mediation, aggregates, joins, baselines."""
+"""QPIAD core: mediation, aggregates, joins, baselines.
+
+Rewriting lives in :mod:`repro.core.rewriting` and ranking in
+:mod:`repro.planner.ranker`; mediators reach both through the planner.
+"""
 
 from repro.core.aggregates import AggregateProcessor, AggregateResult
 from repro.core.baselines import all_ranked, all_returned
@@ -22,28 +26,13 @@ from repro.core.multijoin import (
 )
 from repro.core.qpiad import QpiadConfig, QpiadMediator
 from repro.core.relaxation import QueryRelaxer, RelaxationPlan, RelaxedAnswer
-# Public-API re-exports of the pipeline stage functions, not mediation:
-# callers outside repro.core (benchmarks, notebooks) keep their import
-# surface while mediators themselves go through the planner.
-from repro.core.ranking import f_measure, order_rewritten_queries, score_rewritten_queries  # qpiadlint: disable=raw-rewrite-call-in-core
 from repro.core.results import QueryFailure, QueryResult, RankedAnswer, RetrievalStats
-from repro.core.rewriting import (  # qpiadlint: disable=raw-rewrite-call-in-core
-    RewrittenQuery,
-    generate_rewritten_queries,
-    target_probability,
-)
 
 __all__ = [
     "RankedAnswer",
     "QueryFailure",
     "RetrievalStats",
     "QueryResult",
-    "RewrittenQuery",
-    "generate_rewritten_queries",
-    "target_probability",
-    "f_measure",
-    "score_rewritten_queries",
-    "order_rewritten_queries",
     "QpiadConfig",
     "QpiadMediator",
     "all_returned",

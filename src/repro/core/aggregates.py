@@ -20,7 +20,6 @@ from repro.engine import (
     QueryKind,
     RetrievalEngine,
 )
-from repro.errors import QueryError
 from repro.mining.knowledge import KnowledgeBase
 from repro.mining.store import KnowledgeStore, as_store
 from repro.planner import PlanCache, PlannerConfig, QueryPlanner
@@ -118,15 +117,6 @@ class AggregateProcessor:
         executor: PlanExecutor | None = None,
         plan_cache: PlanCache | None = None,
     ):
-        if inclusion_rule not in ("argmax", "fractional"):
-            raise QueryError(
-                f"unknown inclusion rule {inclusion_rule!r}; "
-                "expected 'argmax' or 'fractional'"
-            )
-        if max_concurrency < 1:
-            raise QueryError(
-                f"max_concurrency must be at least 1, got {max_concurrency}"
-            )
         self.source = source
         self._store = as_store(knowledge)
         self.k = k
@@ -136,6 +126,7 @@ class AggregateProcessor:
         self.max_concurrency = max_concurrency
         self._telemetry = telemetry
         self._executor = executor
+        self._policy = ExecutionPolicy.strict(max_concurrency=max_concurrency)
         self.planner = QueryPlanner(
             self._store,
             PlannerConfig(
@@ -173,7 +164,7 @@ class AggregateProcessor:
         stats = RetrievalStats()
         engine = RetrievalEngine(
             self.source,
-            ExecutionPolicy.strict(max_concurrency=self.max_concurrency),
+            self._policy,
             stats,
             executor=self._executor,
             telemetry=self._telemetry,

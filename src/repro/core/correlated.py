@@ -74,6 +74,21 @@ class CorrelatedConfig:
     classifier_method: str | None = None
     max_concurrency: int = 1
 
+    def __post_init__(self) -> None:
+        # Validate at construction, before any source call is billed.
+        self.planner_config()
+        self.execution_policy()
+
+    def planner_config(self) -> PlannerConfig:
+        """The planner-facing slice of this configuration."""
+        return PlannerConfig(
+            alpha=self.alpha, k=self.k, classifier_method=self.classifier_method
+        )
+
+    def execution_policy(self) -> ExecutionPolicy:
+        """The engine-facing slice: strict, with the configured width."""
+        return ExecutionPolicy.strict(max_concurrency=self.max_concurrency)
+
 
 class CorrelatedSourceMediator:
     """Answers queries on attributes a target source does not support.
@@ -128,11 +143,7 @@ class CorrelatedSourceMediator:
     def _planner(self, knowledge: KnowledgeBase) -> QueryPlanner:
         return QueryPlanner(
             knowledge,
-            PlannerConfig(
-                alpha=self.config.alpha,
-                k=self.config.k,
-                classifier_method=self.config.classifier_method,
-            ),
+            self.config.planner_config(),
             cache=self._plan_cache,
             telemetry=self._telemetry,
         )
@@ -180,7 +191,7 @@ class CorrelatedSourceMediator:
         # the caller (the federated mediator absorbs it per source).
         engine = RetrievalEngine(
             target,
-            ExecutionPolicy.strict(max_concurrency=self.config.max_concurrency),
+            self.config.execution_policy(),
             stats,
             telemetry=telemetry,
             label=str(query),

@@ -35,7 +35,6 @@ strategy.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -51,6 +50,7 @@ from repro.engine import (
     StreamingProject,
     StreamingUnion,
     build_executor,
+    observe_first_answer,
 )
 from repro.errors import RewritingError, SourceUnavailableError, UnsupportedAttributeError
 from repro.mining.knowledge import KnowledgeBase
@@ -236,17 +236,11 @@ class FederatedMediator:
         """
         if result is None:
             result = FederatedResult(query=query)
-        started = time.monotonic()
-        emitted = False
-        for answer in self._stream(query, result):
-            if not emitted:
-                emitted = True
-                if self._telemetry is not None:
-                    self._telemetry.observe(
-                        "federation.time_to_first_answer_seconds",
-                        time.monotonic() - started,
-                    )
-            yield answer
+        return observe_first_answer(
+            self._stream(query, result),
+            self._telemetry,
+            "federation.time_to_first_answer_seconds",
+        )
 
     def _stream(
         self, query: SelectionQuery, result: FederatedResult

@@ -26,7 +26,6 @@ order, so the final answer list is bit-identical at every executor width.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
@@ -43,6 +42,7 @@ from repro.engine import (
     RetrievalEngine,
     StreamingProject,
     SymmetricHashJoin,
+    observe_first_answer,
 )
 from repro.errors import MiningError, QpiadError
 from repro.mining.afd import Afd
@@ -75,14 +75,19 @@ class JoinConfig:
     max_concurrency: int = 1
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise QpiadError(f"alpha must be non-negative, got {self.alpha}")
+        # α and concurrency are checked by the slices that own them.
+        self.planner_config()
+        self.execution_policy()
         if self.k_pairs < 1:
             raise QpiadError(f"k_pairs must be positive, got {self.k_pairs}")
-        if self.max_concurrency < 1:
-            raise QpiadError(
-                f"max_concurrency must be at least 1, got {self.max_concurrency}"
-            )
+
+    def planner_config(self) -> PlannerConfig:
+        """The per-side planner slice: candidates come unlimited (k=None)
+        because the top-K budget applies to *pairs*, not components; the
+        pair ranker applies it after joint scoring."""
+        return PlannerConfig(
+            alpha=self.alpha, k=None, classifier_method=self.classifier_method
+        )
 
     def execution_policy(self) -> ExecutionPolicy:
         """Join processing predates graceful degradation: strict semantics,
@@ -227,14 +232,8 @@ class JoinProcessor:
         self.config = config or JoinConfig()
         self._telemetry = telemetry
         self._executor = executor
-        # One planner per side: candidates come unlimited (k=None) because
-        # the top-K budget applies to *pairs*, not components; the pair
-        # ranker below applies it after joint scoring.
-        component_config = PlannerConfig(
-            alpha=self.config.alpha,
-            k=None,
-            classifier_method=self.config.classifier_method,
-        )
+        # One planner per side; the pair ranker applies the top-K budget.
+        component_config = self.config.planner_config()
         self._left_planner = QueryPlanner(
             self._left_store, component_config, cache=plan_cache, telemetry=telemetry
         )
@@ -296,17 +295,11 @@ class JoinProcessor:
         """
         if result is None:
             result = JoinResult(query=join)
-        started = time.monotonic()
-        emitted = False
-        for candidate in self._stream(join, result):
-            if not emitted:
-                emitted = True
-                if self._telemetry is not None:
-                    self._telemetry.observe(
-                        "mediator.time_to_first_answer_seconds",
-                        time.monotonic() - started,
-                    )
-            yield candidate
+        return observe_first_answer(
+            self._stream(join, result),
+            self._telemetry,
+            "mediator.time_to_first_answer_seconds",
+        )
 
     def _stream(self, join: JoinQuery, result: JoinResult) -> Iterator[JoinedAnswer]:
         # One generation snapshot per side serves the whole join: pair

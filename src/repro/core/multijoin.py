@@ -24,7 +24,6 @@ with a total deterministic order at the edge.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
@@ -38,6 +37,7 @@ from repro.engine import (
     StreamingProject,
     SymmetricHashJoin,
     build_executor,
+    observe_first_answer,
 )
 from repro.errors import MiningError, QpiadError
 from repro.mining.knowledge import KnowledgeBase
@@ -157,10 +157,6 @@ class MultiJoinProcessor:
             raise QpiadError("a multi-way join needs at least two steps")
         if any(step.link_attribute is None for step in steps[1:]):
             raise QpiadError("every step after the first needs a link_attribute")
-        if max_concurrency < 1:
-            raise QpiadError(
-                f"max_concurrency must be at least 1, got {max_concurrency}"
-            )
         # A link attribute that names nothing in the running result's
         # step<i>.<name> namespace used to slip through and silently
         # produce zero answers; fail at construction instead.
@@ -179,8 +175,13 @@ class MultiJoinProcessor:
         self.k = k
         self.alpha = alpha
         self.max_concurrency = max_concurrency
+        # Built here so invalid α, K or width fail at construction, each
+        # checked where it is owned (planner config, executor width).
+        self._step_config = QpiadConfig(alpha=alpha, k=k)
         self._telemetry = telemetry
-        self._executor = executor
+        self._executor = (
+            executor if executor is not None else build_executor(max_concurrency)
+        )
         # One shared cache across all per-step mediators: keys carry each
         # step's knowledge fingerprint, so chains over different sources
         # coexist in it safely (including under a concurrent executor).
@@ -207,16 +208,11 @@ class MultiJoinProcessor:
         """
         if result is None:
             result = MultiJoinResult()
-        started = time.monotonic()
-        emitted = False
-        for partial in self._stream(result):
-            if not emitted:
-                emitted = True
-                if self._telemetry is not None:
-                    self._telemetry.observe(
-                        "mediator.time_to_first_answer_seconds",
-                        time.monotonic() - started,
-                    )
+        for partial in observe_first_answer(
+            self._stream(result),
+            self._telemetry,
+            "mediator.time_to_first_answer_seconds",
+        ):
             yield MultiJoinedAnswer(
                 partial.row_chain,
                 1.0 if partial.certain else partial.confidence,
@@ -234,18 +230,13 @@ class MultiJoinProcessor:
         exactly once.  Any step's failure propagates — a multi-way join
         cannot degrade around a missing relation.
         """
-        executor = (
-            self._executor
-            if self._executor is not None
-            else build_executor(self.max_concurrency)
-        )
         tree = self._build_tree()
         result.per_step_retrieved = [0] * len(self.steps)
         tasks = (
             ExecutionTask(index, self._retriever(step))
             for index, step in enumerate(self.steps)
         )
-        outcomes = executor.map_completed(tasks, lambda: False)
+        outcomes = self._executor.map_completed(tasks, lambda: False)
         try:
             for outcome in outcomes:
                 if outcome.error is not None:
@@ -353,7 +344,7 @@ class MultiJoinProcessor:
             mediator = QpiadMediator(
                 step.source,
                 step.knowledge,
-                QpiadConfig(alpha=self.alpha, k=self.k),
+                self._step_config,
                 telemetry=self._telemetry,
                 plan_cache=self._plan_cache,
             )

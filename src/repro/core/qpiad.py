@@ -26,7 +26,6 @@ from repro.engine import (
     QueryKind,
     RetrievalEngine,
 )
-from repro.errors import QpiadError
 from repro.mining.knowledge import KnowledgeBase
 from repro.mining.store import KnowledgeStore, as_store
 from repro.planner import PlanCache, PlannerConfig, QueryPlanner, SelectionPlan
@@ -117,27 +116,19 @@ class QpiadConfig:
     max_concurrency: int = 1
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise QpiadError(f"alpha must be non-negative, got {self.alpha}")
-        if self.k is not None and self.k < 0:
-            raise QpiadError(f"k must be non-negative, got {self.k}")
-        if not 0.0 <= self.min_confidence <= 1.0:
-            raise QpiadError(
-                f"min_confidence must be in [0, 1], got {self.min_confidence}"
-            )
-        if self.max_source_failures is not None and self.max_source_failures < 0:
-            raise QpiadError(
-                f"max_source_failures must be non-negative, got "
-                f"{self.max_source_failures}"
-            )
-        if self.deadline_seconds is not None and self.deadline_seconds < 0:
-            raise QpiadError(
-                f"deadline_seconds must be non-negative, got {self.deadline_seconds}"
-            )
-        if self.max_concurrency < 1:
-            raise QpiadError(
-                f"max_concurrency must be at least 1, got {self.max_concurrency}"
-            )
+        # Each check lives with the slice that owns it; building both
+        # slices validates this configuration at construction.
+        self.planner_config()
+        self.execution_policy()
+
+    def planner_config(self) -> PlannerConfig:
+        """The planner-facing slice of this configuration."""
+        return PlannerConfig(
+            alpha=self.alpha,
+            k=self.k,
+            classifier_method=self.classifier_method,
+            min_confidence=self.min_confidence,
+        )
 
     def execution_policy(self) -> ExecutionPolicy:
         """The engine-facing slice of this configuration."""
@@ -215,12 +206,7 @@ class QpiadMediator:
         self._scheduler = scheduler
         self.planner = QueryPlanner(
             self._store,
-            PlannerConfig(
-                alpha=self.config.alpha,
-                k=self.config.k,
-                classifier_method=self.config.classifier_method,
-                min_confidence=self.config.min_confidence,
-            ),
+            self.config.planner_config(),
             cache=plan_cache,
             telemetry=telemetry,
         )
@@ -238,12 +224,7 @@ class QpiadMediator:
         """Snapshot of the current knowledge generation."""
         return self._store.current
 
-    def _engine(
-        self,
-        stats: RetrievalStats,
-        query: SelectionQuery,
-        record_failures: bool = True,
-    ) -> RetrievalEngine:
+    def _engine(self, stats: RetrievalStats, query: SelectionQuery) -> RetrievalEngine:
         """A fresh engine for one retrieval over this mediator's source."""
         return RetrievalEngine(
             self.source,
@@ -252,7 +233,6 @@ class QpiadMediator:
             executor=self._executor,
             telemetry=self._telemetry,
             clock=self._clock,
-            record_failures=record_failures,
             label=str(query),
             scheduler=self._scheduler,
         )
@@ -260,7 +240,9 @@ class QpiadMediator:
     def query(self, query: SelectionQuery) -> QueryResult:
         """Process *query*: certain answers plus ranked possible answers.
 
-        The base query's failure always propagates; failures of individual
+        Materializes the answer stream :meth:`iter_possible` yields, then
+        appends the multi-NULL fetch and the ``degraded`` flag.  The base
+        query's failure always propagates; failures of individual
         rewritten queries degrade the result instead of aborting it (see
         :class:`QpiadConfig` and :attr:`QueryResult.degraded`).
         """
@@ -268,7 +250,25 @@ class QpiadMediator:
         with maybe_span(
             telemetry, f"qpiad.query {query}", SpanKind.RETRIEVAL, query=str(query)
         ) as root:
-            result = self._mediate(query)
+            stats = RetrievalStats()
+            engine = self._engine(stats, query)
+            base_set, steps = self._start(engine, query, stats)
+            seen_rows: set[Row] = set(base_set)
+            result = QueryResult(
+                query=query,
+                certain=base_set,
+                ranked=list(self._answers(engine, steps, seen_rows, stats)),
+                stats=stats,
+            )
+            if (
+                self.config.retrieve_multi_null
+                and len(query.constrained_attributes) > 1
+                and not engine.deadline_exceeded()
+            ):
+                result.unranked.extend(
+                    self._fetch_multi_null(engine, query, seen_rows, rank=len(steps))
+                )
+            result.degraded = engine.degraded
             if root is not None:
                 root.set(
                     certain=len(result.certain),
@@ -283,89 +283,6 @@ class QpiadMediator:
                 telemetry.count("mediator.retrievals_degraded")
             telemetry.count("mediator.answers_certain", len(result.certain))
             telemetry.count("mediator.answers_ranked", len(result.ranked))
-        return result
-
-    def _plan_rewritten(
-        self,
-        query: SelectionQuery,
-        base_set: Relation,
-        stats: RetrievalStats,
-    ) -> list[PlannedQuery]:
-        """The rewritten-query plan, via the shared :class:`QueryPlanner`.
-
-        Gating happens at plan time — inside the planner — so an
-        inexpressible or below-threshold rewriting never spends source
-        budget: it lands in ``stats.rewritten_skipped`` instead of being
-        retrieved and discarded.  The skip tallies travel *with* the plan,
-        which keeps stats and telemetry identical whether the plan was
-        freshly built or served from the cache.
-        """
-        plan = self.planner.plan_selection(query, base_set, source=self.source)
-        self.last_plan = plan
-        stats.rewritten_generated = plan.generated
-        stats.rewritten_skipped += plan.skipped
-        telemetry = self._telemetry
-        if telemetry is not None:
-            if plan.skipped_unanswerable:
-                telemetry.count(
-                    "mediator.rewritten_unanswerable", plan.skipped_unanswerable
-                )
-            if plan.skipped_below_confidence:
-                telemetry.count(
-                    "mediator.rewritten_below_confidence",
-                    plan.skipped_below_confidence,
-                )
-        logger.debug(
-            "query %r: %d certain answers, %d rewritten candidates, issuing %d",
-            query, len(base_set), plan.generated, len(plan.steps),
-        )
-        return list(plan.steps)
-
-    def _mediate(self, query: SelectionQuery) -> QueryResult:
-        stats = RetrievalStats()
-        engine = self._engine(stats, query)
-
-        base_set = engine.run_base(
-            PlannedQuery(query=query, kind=QueryKind.BASE, rank=0)
-        )
-        result = QueryResult(query=query, certain=base_set, stats=stats)
-        steps = self._plan_rewritten(query, base_set, stats)
-        seen_rows: set[Row] = set(base_set)
-        schema = self.source.schema
-
-        for step, retrieved in engine.stream(steps):
-            assert step.target_attribute is not None
-            target_index = schema.index_of(step.target_attribute)
-            for row in retrieved:
-                # Post-filtering (step 2e): keep only tuples whose target
-                # attribute is actually missing; the rest are certain
-                # answers the base set already delivered.
-                if not is_null(row[target_index]):
-                    continue
-                if row in seen_rows:
-                    stats.duplicates_discarded += 1
-                    continue
-                seen_rows.add(row)
-                result.ranked.append(
-                    RankedAnswer(
-                        row=row,
-                        confidence=step.estimated_precision,
-                        retrieved_by=step.query,
-                        target_attribute=step.target_attribute,
-                        explanation=step.explanation,
-                    )
-                )
-
-        constrained = query.constrained_attributes
-        if (
-            self.config.retrieve_multi_null
-            and len(constrained) > 1
-            and not engine.deadline_exceeded()
-        ):
-            result.unranked.extend(
-                self._fetch_multi_null(engine, query, seen_rows, rank=len(steps))
-            )
-        result.degraded = engine.degraded
         return result
 
     def iter_possible(
@@ -386,24 +303,77 @@ class QpiadMediator:
         rewritten queries are skipped under ``config.max_source_failures``,
         budget exhaustion and deadlines end the stream — but a generator
         has no result object, so nothing is flagged.  Pass a *stats*
-        object to collect the same cost accounting :meth:`query` reports
-        (issuance is recorded before each call, so spent budget is counted
-        even when the call fails); callers needing the failure log itself
-        should use :meth:`query`.
+        object to collect the same cost accounting and failure log
+        :meth:`query` reports (issuance is recorded before each call, so
+        spent budget is counted even when the call fails).
         """
         stats = RetrievalStats() if stats is None else stats
-        engine = self._engine(stats, query, record_failures=False)
+        engine = self._engine(stats, query)
+        base_set, steps = self._start(engine, query, stats)
+        yield from self._answers(engine, steps, set(base_set), stats)
+
+    def _start(
+        self, engine: RetrievalEngine, query: SelectionQuery, stats: RetrievalStats
+    ) -> tuple[Relation, list[PlannedQuery]]:
+        """Issue the base query, then plan rewritten queries over its rows.
+
+        Planning goes through the shared :class:`QueryPlanner`.  Gating
+        happens at plan time — inside the planner — so an inexpressible or
+        below-threshold rewriting never spends source budget: it lands in
+        ``stats.rewritten_skipped`` instead of being retrieved and
+        discarded.  The skip tallies travel *with* the plan, which keeps
+        stats and telemetry identical whether the plan was freshly built
+        or served from the cache.
+        """
         base_set = engine.run_base(
             PlannedQuery(query=query, kind=QueryKind.BASE, rank=0)
         )
-        steps = self._plan_rewritten(query, base_set, stats)
-        seen_rows: set[Row] = set(base_set)
+        plan = self.planner.plan_selection(query, base_set, source=self.source)
+        self.last_plan = plan
+        stats.rewritten_generated = plan.generated
+        stats.rewritten_skipped += plan.skipped
+        telemetry = self._telemetry
+        if telemetry is not None:
+            if plan.skipped_unanswerable:
+                telemetry.count(
+                    "mediator.rewritten_unanswerable", plan.skipped_unanswerable
+                )
+            if plan.skipped_below_confidence:
+                telemetry.count(
+                    "mediator.rewritten_below_confidence",
+                    plan.skipped_below_confidence,
+                )
+        logger.debug(
+            "query %r: %d certain answers, %d rewritten candidates, issuing %d",
+            query, len(base_set), plan.generated, len(plan.steps),
+        )
+        return base_set, list(plan.steps)
+
+    def _answers(
+        self,
+        engine: RetrievalEngine,
+        steps: list[PlannedQuery],
+        seen_rows: set[Row],
+        stats: RetrievalStats,
+    ) -> Iterator[RankedAnswer]:
+        """The one answer loop: each rewritten query's rows, post-filtered
+        and deduplicated, as ranked answers in plan order.
+
+        *seen_rows* starts as the base set and grows with every answer
+        yielded, so the caller can keep deduplicating against it.
+        """
         schema = self.source.schema
         for step, retrieved in engine.stream(steps):
             assert step.target_attribute is not None
             target_index = schema.index_of(step.target_attribute)
             for row in retrieved:
-                if not is_null(row[target_index]) or row in seen_rows:
+                # Post-filtering (step 2e): keep only tuples whose target
+                # attribute is actually missing; the rest are certain
+                # answers the base set already delivered.
+                if not is_null(row[target_index]):
+                    continue
+                if row in seen_rows:
+                    stats.duplicates_discarded += 1
                     continue
                 seen_rows.add(row)
                 yield RankedAnswer(

@@ -26,7 +26,7 @@ issuing.  See ``docs/engine.md`` for the model and its determinism
 guarantees.
 """
 
-from repro.engine.engine import FailureKind, RetrievalEngine
+from repro.engine.engine import FailureKind, RetrievalEngine, observe_first_answer
 from repro.engine.executor import (
     ConcurrentExecutor,
     ExecutionTask,
@@ -67,4 +67,5 @@ __all__ = [
     "SymmetricHashJoin",
     "TaskOutcome",
     "build_executor",
+    "observe_first_answer",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from typing import Any, Callable, Iterable, Iterator, Protocol
+from typing import Any, Callable, Iterable, Iterator, Protocol, TypeVar
 
 from repro.engine.executor import ExecutionTask, PlanExecutor, build_executor
 from repro.engine.plan import PlannedQuery, QueryKind
@@ -34,9 +34,36 @@ from repro.resilience.deadline import Deadline, deadline_scope
 from repro.resilience.scheduler import SourceScheduler, current_scheduler
 from repro.telemetry import SpanKind, Telemetry, maybe_span
 
-__all__ = ["FailureKind", "RetrievalEngine", "RetrievalStatsLike"]
+__all__ = [
+    "FailureKind",
+    "RetrievalEngine",
+    "RetrievalStatsLike",
+    "observe_first_answer",
+]
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
+
+
+def observe_first_answer(
+    stream: Iterable[T], telemetry: Telemetry | None, metric: str
+) -> Iterator[T]:
+    """Pass *stream* through, observing the latency to its first item.
+
+    The clock starts when the stream is first pulled; the seconds until
+    the first item arrives feed the *metric* histogram (when traced).
+    Every streaming mediator times its first answer through this one
+    wrapper.
+    """
+    started = time.monotonic()
+    items = iter(stream)
+    for item in items:
+        if telemetry is not None:
+            telemetry.observe(metric, time.monotonic() - started)
+        yield item
+        break
+    yield from items
 
 
 class FailureKind:
@@ -93,8 +120,10 @@ class RetrievalEngine:
     policy:
         Failure/deadline/concurrency limits (see :class:`ExecutionPolicy`).
     stats:
-        The retrieval's cost accounting; every issued call is counted
-        here *before* it runs.
+        The retrieval's cost accounting and failure log: every issued
+        call is counted here *before* it runs, and every absorbed failure
+        or blown deadline is recorded into ``stats.failures``, whether
+        the caller materializes a result or consumes a stream.
     executor:
         Execution strategy; defaults to one built from
         ``policy.max_concurrency``.
@@ -104,11 +133,6 @@ class RetrievalEngine:
     clock:
         Injectable monotonic clock backing ``policy.deadline_seconds``.
         The deadline window opens when the engine is constructed.
-    record_failures:
-        Whether absorbed failures and blown deadlines are recorded into
-        ``stats.failures``.  The streaming interface passes ``False`` —
-        a generator has no result object to attach a failure log to —
-        while still counting issuance and telemetry identically.
     label:
         Description of the retrieval (normally the user query) used in
         deadline messages.
@@ -123,7 +147,6 @@ class RetrievalEngine:
         executor: PlanExecutor | None = None,
         telemetry: Telemetry | None = None,
         clock: Callable[[], float] = time.monotonic,
-        record_failures: bool = True,
         label: str | None = None,
         scheduler: SourceScheduler | None = None,
     ):
@@ -136,7 +159,6 @@ class RetrievalEngine:
         )
         self._telemetry = telemetry
         self._clock = clock
-        self._record_failures = record_failures
         self._label = label
         self._started = clock()
         # The policy deadline as a propagatable value: queued admission
@@ -373,10 +395,9 @@ class RetrievalEngine:
             return _CONTINUE
         failure_query = None if step.kind == QueryKind.MULTI_NULL else step.query
         if isinstance(error, QueryBudgetExceededError):
-            if self._record_failures:
-                self.stats.record_failure(
-                    failure_query, FailureKind.BUDGET_EXHAUSTED, str(error)
-                )
+            self.stats.record_failure(
+                failure_query, FailureKind.BUDGET_EXHAUSTED, str(error)
+            )
             self.degraded = True
             if self._telemetry is not None:
                 self._telemetry.count("mediator.budget_exhausted")
@@ -391,10 +412,9 @@ class RetrievalEngine:
             with self._lock:
                 self._source_failures += 1
                 failures = self._source_failures
-            if self._record_failures:
-                self.stats.record_failure(
-                    failure_query, FailureKind.ADMISSION_REJECTED, str(error)
-                )
+            self.stats.record_failure(
+                failure_query, FailureKind.ADMISSION_REJECTED, str(error)
+            )
             self.degraded = True
             if self._telemetry is not None:
                 self._telemetry.count("mediator.load_shed")
@@ -417,10 +437,9 @@ class RetrievalEngine:
             with self._lock:
                 self._source_failures += 1
                 failures = self._source_failures
-            if self._record_failures:
-                self.stats.record_failure(
-                    failure_query, FailureKind.SOURCE_UNAVAILABLE, str(error)
-                )
+            self.stats.record_failure(
+                failure_query, FailureKind.SOURCE_UNAVAILABLE, str(error)
+            )
             self.degraded = True
             if self._telemetry is not None:
                 self._telemetry.count("mediator.source_failures")
@@ -450,8 +469,7 @@ class RetrievalEngine:
             f"retrieval for {self._label} exceeded its deadline of "
             f"{self._policy.deadline_seconds}s after {elapsed:.3f}s"
         )
-        if self._record_failures:
-            self.stats.record_failure(None, FailureKind.DEADLINE, message)
+        self.stats.record_failure(None, FailureKind.DEADLINE, message)
         if self._telemetry is not None:
             self._telemetry.count("mediator.deadline_exceeded")
         self.degraded = True

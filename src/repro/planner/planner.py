@@ -38,7 +38,7 @@ if TYPE_CHECKING:
 
 from repro.core.rewriting import RewrittenQuery
 from repro.engine.plan import PlannedQuery, QueryKind, RetrievalPlan
-from repro.errors import QueryError
+from repro.errors import QpiadError, QueryError
 from repro.mining.knowledge import KnowledgeBase
 from repro.mining.store import KnowledgeStore, as_store
 from repro.planner.cache import PlanCache
@@ -73,6 +73,11 @@ PlanT = TypeVar("PlanT")
 class PlannerConfig:
     """The planning-stage slice of a mediator's configuration.
 
+    The one place planning knobs are validated (α ≥ 0, K ≥ 0,
+    ``min_confidence`` in [0, 1], a known inclusion rule): mediator
+    configs derive this slice at construction instead of restating the
+    checks.
+
     Every field participates in the cache key, so changing any knob —
     α, K, the classifier variant, the confidence threshold, the aggregate
     inclusion rule — starts a fresh cache lineage instead of serving plans
@@ -84,6 +89,21 @@ class PlannerConfig:
     classifier_method: "str | None" = None
     min_confidence: float = 0.0
     inclusion_rule: str = "argmax"
+
+    def __post_init__(self) -> None:
+        if self.alpha < 0:
+            raise QpiadError(f"alpha must be non-negative, got {self.alpha}")
+        if self.k is not None and self.k < 0:
+            raise QpiadError(f"k must be non-negative, got {self.k}")
+        if not 0.0 <= self.min_confidence <= 1.0:
+            raise QpiadError(
+                f"min_confidence must be in [0, 1], got {self.min_confidence}"
+            )
+        if self.inclusion_rule not in ("argmax", "fractional"):
+            raise QueryError(
+                f"unknown inclusion rule {self.inclusion_rule!r}; "
+                "expected 'argmax' or 'fractional'"
+            )
 
     def token(self) -> str:
         """Canonical cache-key component for this configuration."""

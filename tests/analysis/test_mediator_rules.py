@@ -191,14 +191,6 @@ class TestRawRewriteCall:
             )
             == []
         )
-        assert (
-            check(
-                self.rule,
-                "ranked = order_rewritten_queries(cands, alpha=0.0)\n",
-                module="repro.core.ranking",
-            )
-            == []
-        )
 
     def test_planner_package_is_out_of_scope(self, check):
         # The planner is the sanctioned caller of the stage functions.

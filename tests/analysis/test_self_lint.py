@@ -36,6 +36,9 @@ def test_suppressions_stay_bounded():
     # in repro.mining (partition_by, Partition.refine, g3_error, TANE joint
     # support, NBC training and batch scoring) are the semantics the
     # columnar kernels must reproduce bit-for-bit, so each stays — with a
-    # justification — as a reviewed exemption.
+    # justification — as a reviewed exemption.  Lowered 18 -> 14 when the
+    # repro.core.ranking shim and the rewrite re-exports in
+    # repro.core.__init__ were deleted: their two suppression comments
+    # covered three findings (one per stage function imported).
     report = lint_paths([SRC])
-    assert report.suppressed_count <= 18
+    assert report.suppressed_count <= 14

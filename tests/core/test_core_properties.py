@@ -3,8 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import RewrittenQuery, f_measure, order_rewritten_queries
-from repro.core.ranking import score_rewritten_queries
+from repro.core.rewriting import RewrittenQuery
+from repro.planner.ranker import (
+    f_measure,
+    order_rewritten_queries,
+    score_rewritten_queries,
+)
 from repro.mining import Afd
 from repro.query import SelectionQuery
 

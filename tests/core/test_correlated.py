@@ -7,7 +7,7 @@ from repro.core import (
     CorrelatedSourceMediator,
     find_correlated_source,
 )
-from repro.errors import RewritingError, UnsupportedAttributeError
+from repro.errors import QpiadError, RewritingError, UnsupportedAttributeError
 from repro.query import SelectionQuery
 from repro.sources import AutonomousSource, SourceCapabilities, SourceRegistry
 
@@ -100,3 +100,38 @@ class TestMediation:
         mediator = CorrelatedSourceMediator(registry, knowledge)
         with pytest.raises(RewritingError):
             mediator.query(SelectionQuery.equals("body_style", "Convt"), tiny)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"alpha": -1.0}, "alpha must be non-negative"),
+            ({"k": -2}, "k must be non-negative"),
+            ({"max_concurrency": 0}, "max_concurrency must be at least 1"),
+        ],
+    )
+    def test_invalid_values_raise_before_any_source_call(
+        self, cars_env, bad, message
+    ):
+        carscom = AutonomousSource(
+            "cars.com", cars_env.test, SourceCapabilities.web_form()
+        )
+        yahoo = AutonomousSource(
+            "yahoo",
+            cars_env.test,
+            SourceCapabilities.web_form(),
+            local_attributes=YAHOO_ATTRS,
+        )
+        registry = SourceRegistry(cars_env.test.schema, [carscom, yahoo])
+        with pytest.raises(QpiadError, match=message):
+            CorrelatedConfig(**bad)
+        # The bad value can no longer reach query(), which used to reject
+        # it only after billing a call to the correlated source.
+        with pytest.raises(QpiadError, match=message):
+            CorrelatedSourceMediator(
+                registry, {"cars.com": cars_env.knowledge}, CorrelatedConfig(**bad)
+            ).query(SelectionQuery.equals("body_style", "Convt"), yahoo)
+        for source in (carscom, yahoo):
+            assert source.statistics.queries_answered == 0
+            assert source.statistics.rejected_queries == 0

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.core import RewrittenQuery, f_measure, order_rewritten_queries
-from repro.core.ranking import score_rewritten_queries
+from repro.core.rewriting import RewrittenQuery
+from repro.planner.ranker import (
+    f_measure,
+    order_rewritten_queries,
+    score_rewritten_queries,
+)
 from repro.errors import QpiadError
 from repro.mining import Afd
 from repro.query import SelectionQuery

@@ -11,8 +11,11 @@ import pytest
 
 from repro.core import AggregateProcessor, QpiadConfig, QpiadMediator
 from repro.core.results import RetrievalStats
+from repro.errors import SourceUnavailableError
 from repro.evaluation import selection_workload, multi_attribute_workload
 from repro.query import AggregateFunction, AggregateQuery
+from repro.relational import NULL
+from tests.core.test_degradation import FailingAt
 
 WIDTHS = [1, 4]
 
@@ -69,25 +72,82 @@ class TestQueryParity:
             assert serial == wide, query
 
 
+class _FailingOn(FailingAt):
+    """:class:`FailingAt` keyed by query instead of call index.
+
+    Under a concurrent executor, call indices follow the order worker
+    threads reach the source, which the plan does not fix; naming the
+    query fails the same plan step at every width.
+    """
+
+    def __init__(self, inner, fail_queries):
+        super().__init__(inner, fail_calls=set())
+        self.fail_queries = fail_queries
+
+    def execute(self, query):
+        if query in self.fail_queries:
+            raise SourceUnavailableError(f"scripted failure on {query}")
+        return self.inner.execute(query)
+
+
+class _Duplicating(FailingAt):
+    """Appends one all-NULL row to every rewritten query's result, so each
+    rewritten query after the first retrieves a duplicate answer."""
+
+    def __init__(self, inner, base_query):
+        super().__init__(inner, fail_calls=set())
+        self.base_query = base_query
+        self.row = (NULL,) * len(inner.schema)
+
+    def execute(self, query):
+        retrieved = self.inner.execute(query)
+        if query == self.base_query:
+            return retrieved
+        return retrieved.extend([self.row])
+
+
+def _sources(env, query):
+    """Factories for a clean, a failing and a duplicating source.
+
+    The failing one fails the query a serial run issues as call 2 (the
+    second rewritten query), i.e. ``FailingAt(fail_calls={2})``.
+    """
+    probe = QpiadMediator(env.web_source(), env.knowledge, QpiadConfig(k=10))
+    probe.query(query)
+    second_rewrite = probe.last_plan.steps[1].query
+    return {
+        "clean": env.web_source,
+        "failing": lambda: _FailingOn(env.web_source(), {second_rewrite}),
+        "duplicating": lambda: _Duplicating(env.web_source(), query),
+    }
+
+
 class TestStreamParity:
     @pytest.mark.parametrize("width", WIDTHS)
     def test_iter_possible_matches_query(self, cars_env, width):
-        source = cars_env.web_source()
+        config = QpiadConfig(k=10, max_concurrency=width)
         for query in _workload(cars_env):
-            config = QpiadConfig(k=10, max_concurrency=width)
-            eager = QpiadMediator(source, cars_env.knowledge, config).query(query)
-            stats = RetrievalStats()
-            streamed = list(
-                QpiadMediator(source, cars_env.knowledge, config).iter_possible(
-                    query, stats
+            for name, make_source in _sources(cars_env, query).items():
+                eager = QpiadMediator(make_source(), cars_env.knowledge, config).query(
+                    query
                 )
-            )
-            assert [(a.row, a.confidence) for a in streamed] == [
-                (a.row, a.confidence) for a in eager.ranked
-            ]
-            assert stats.queries_issued == eager.stats.queries_issued
-            assert stats.tuples_retrieved == eager.stats.tuples_retrieved
-            assert stats.rewritten_issued == eager.stats.rewritten_issued
+                stats = RetrievalStats()
+                streamed = list(
+                    QpiadMediator(
+                        make_source(), cars_env.knowledge, config
+                    ).iter_possible(query, stats)
+                )
+                context = (str(query), name)
+                assert [(a.row, a.confidence) for a in streamed] == [
+                    (a.row, a.confidence) for a in eager.ranked
+                ], context
+                # One answer path: the stream's cost accounting, skip and
+                # duplicate tallies and failure log are the eager result's.
+                assert stats == eager.stats, context
+                if name == "failing":
+                    assert len(stats.failures) == 1, context
+                if name == "duplicating":
+                    assert stats.duplicates_discarded > 0, context
 
     def test_abandoned_stream_spends_less(self, cars_env):
         # Laziness survives the refactor: stopping early must not cost the

@@ -64,7 +64,7 @@ class TestMultiAttributeRetrieval:
         assert sum(1 for gain in gains if gain >= 0) >= len(gains) - 1
 
     def test_rewriting_targets_both_attributes_when_it_can(self, cars_env, workload):
-        from repro.core import generate_rewritten_queries
+        from repro.core.rewriting import generate_rewritten_queries
 
         covered = set()
         for query in workload:

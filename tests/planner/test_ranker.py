@@ -10,7 +10,7 @@ diverging from the selection pipeline's ``(-F, -throughput, key)`` rule.
 
 import pytest
 
-from repro.core import RewrittenQuery
+from repro.core.rewriting import RewrittenQuery
 from repro.errors import QpiadError
 from repro.mining import Afd
 from repro.planner import Ranker
