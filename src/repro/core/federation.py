@@ -35,6 +35,7 @@ strategy.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -262,8 +263,7 @@ class FederatedMediator:
                 ExecutionTask(rank, self._prober(source, query))
                 for rank, source in enumerate(sources)
             )
-            outcomes = executor.map_completed(tasks, lambda: False)
-            try:
+            with closing(executor.map(tasks, lambda: False, ordered=False)) as outcomes:
                 for outcome in outcomes:
                     source = sources[outcome.rank]
                     if outcome.error is not None:
@@ -282,10 +282,6 @@ class FederatedMediator:
                         assert isinstance(payload, QueryResult)
                         for ranked in payload.ranked:
                             yield from tree.push(f"source:{outcome.rank}", ranked)
-            finally:
-                closer = getattr(outcomes, "close", None)
-                if closer is not None:
-                    closer()
             if tree is not None:
                 yield from tree.close()
             # Deterministic assembly: fold payloads and failures in

@@ -24,6 +24,7 @@ with a total deterministic order at the edge.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
@@ -236,8 +237,7 @@ class MultiJoinProcessor:
             ExecutionTask(index, self._retriever(step))
             for index, step in enumerate(self.steps)
         )
-        outcomes = self._executor.map_completed(tasks, lambda: False)
-        try:
+        with closing(self._executor.map(tasks, lambda: False, ordered=False)) as outcomes:
             for outcome in outcomes:
                 if outcome.error is not None:
                     raise outcome.error
@@ -246,10 +246,6 @@ class MultiJoinProcessor:
                 inlet = f"step{outcome.rank}"
                 for entry in answers:
                     yield from tree.push(inlet, entry)
-        finally:
-            closer = getattr(outcomes, "close", None)
-            if closer is not None:
-                closer()
         yield from tree.close()
 
     def _build_tree(self) -> OperatorTree:

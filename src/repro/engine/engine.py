@@ -16,7 +16,8 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from typing import Any, Callable, Iterable, Iterator, Protocol, TypeVar
+from contextlib import closing
+from typing import Any, Callable, Generator, Iterable, Iterator, Protocol, TypeVar
 
 from repro.engine.executor import ExecutionTask, PlanExecutor, build_executor
 from repro.engine.plan import PlannedQuery, QueryKind
@@ -102,6 +103,15 @@ _SPAN_KINDS = {
     QueryKind.REWRITTEN: SpanKind.REWRITTEN_QUERY,
     QueryKind.RELAXED: SpanKind.RELAXED_QUERY,
     QueryKind.MULTI_NULL: SpanKind.MULTI_NULL,
+}
+
+# Transient failures: absorbed under the failure budget, each recorded as
+# its own kind and counted on its own counter.  Load shedding (the
+# scheduler refused to queue the call) degrades the plan like a source
+# outage, but stays visible as congestion.
+_TRANSIENT: dict[type[BaseException], tuple[str, str]] = {
+    AdmissionRejectedError: (FailureKind.ADMISSION_REJECTED, "mediator.load_shed"),
+    SourceUnavailableError: (FailureKind.SOURCE_UNAVAILABLE, "mediator.source_failures"),
 }
 
 # What the engine does with an absorbed outcome.
@@ -194,22 +204,59 @@ class RetrievalEngine:
         issuance — work in flight completes and merges, nothing new
         starts — and is noted exactly once.
         """
+        return self._run(plan, ordered=True)
+
+    def stream_tuples(
+        self, plan: Iterable[PlannedQuery]
+    ) -> Iterator[tuple[PlannedQuery, Any]]:
+        """Execute planned queries, yielding ``(step, row)`` as calls complete.
+
+        The incremental tuple path behind the non-blocking operators
+        (:mod:`repro.engine.operators`): the same loop as :meth:`stream`
+        over the executor's ``map(..., ordered=False)``, so each source
+        call's rows surface the moment that call returns — completion
+        order across steps, source row order within a step.  A
+        symmetric-hash join fed by this stream emits its first joined
+        tuple as soon as a match exists, independent of the slowest
+        source.
+
+        Billing, telemetry, deadline and failure absorption are those of
+        :meth:`stream` — every call is counted before it runs — but
+        failures are absorbed in completion order, so under a failure
+        *budget* the set of absorbed steps may be schedule-dependent
+        (the strict policies the join processors run under are not
+        affected: their first failure raises at any width).  Consumers
+        must impose their own deterministic final order: rank at the
+        end, stream in the middle.
+        """
+        with closing(self._run(plan, ordered=False)) as results:
+            for step, relation in results:
+                for row in relation:
+                    yield step, row
+
+    def _run(
+        self, plan: Iterable[PlannedQuery], *, ordered: bool
+    ) -> Generator[tuple[PlannedQuery, Relation], None, None]:
+        """The one fan-out loop behind :meth:`stream` and :meth:`stream_tuples`."""
         steps = list(plan)
         if not steps:
             return
-        halted = [False]
+        halted = False
 
         def should_stop() -> bool:
-            return halted[0] or self.deadline_exceeded()
+            return halted or self.deadline_exceeded()
 
         tasks = (
-            ExecutionTask(step.rank, self._runner(step)) for step in steps
+            ExecutionTask(index, self._runner(step))
+            for index, step in enumerate(steps)
         )
-        outcomes = self._executor.map(tasks, should_stop)
         consumed = 0
-        try:
-            for step, outcome in zip(steps, outcomes):
+        with closing(
+            self._executor.map(tasks, should_stop, ordered=ordered)
+        ) as outcomes:
+            for outcome in outcomes:
                 consumed += 1
+                step = steps[outcome.rank]
                 if outcome.error is None:
                     if step.kind == QueryKind.REWRITTEN:
                         with self._lock:
@@ -220,73 +267,9 @@ class RetrievalEngine:
                 if verdict == _RAISE:
                     raise outcome.error
                 if verdict == _HALT:
-                    halted[0] = True
+                    halted = True
                     break
-        finally:
-            closer = getattr(outcomes, "close", None)
-            if closer is not None:
-                closer()
-        if consumed < len(steps) and not halted[0] and self.deadline_exceeded():
-            self._note_deadline()
-
-    def stream_tuples(
-        self, plan: Iterable[PlannedQuery]
-    ) -> Iterator[tuple[PlannedQuery, Any]]:
-        """Execute planned queries, yielding ``(step, row)`` as calls complete.
-
-        The incremental tuple path behind the non-blocking operators
-        (:mod:`repro.engine.operators`): instead of merging whole
-        relations back in plan order, each source call's rows surface the
-        moment that call returns — completion order across steps, source
-        row order within a step.  A symmetric-hash join fed by this
-        stream emits its first joined tuple as soon as a match exists,
-        independent of the slowest source.
-
-        Billing, telemetry, and failure absorption are identical to
-        :meth:`stream` — every call is counted before it runs — but
-        failures are absorbed in completion order, so under a failure
-        *budget* the set of absorbed steps may be schedule-dependent
-        (the strict policies the join processors run under are not
-        affected: their first failure raises at any width).  Consumers
-        must impose their own deterministic final order: rank at the
-        end, stream in the middle.
-        """
-        steps = list(plan)
-        if not steps:
-            return
-        halted = [False]
-
-        def should_stop() -> bool:
-            return halted[0] or self.deadline_exceeded()
-
-        tasks = (
-            ExecutionTask(step.rank, self._runner(step)) for step in steps
-        )
-        by_rank = {step.rank: step for step in steps}
-        outcomes = self._executor.map_completed(tasks, should_stop)
-        consumed = 0
-        try:
-            for outcome in outcomes:
-                consumed += 1
-                step = by_rank[outcome.rank]
-                if outcome.error is None:
-                    if step.kind == QueryKind.REWRITTEN:
-                        with self._lock:
-                            self.stats.rewritten_issued += 1
-                    for row in outcome.value:
-                        yield step, row
-                    continue
-                verdict = self._absorb(step, outcome.error)
-                if verdict == _RAISE:
-                    raise outcome.error
-                if verdict == _HALT:
-                    halted[0] = True
-                    break
-        finally:
-            closer = getattr(outcomes, "close", None)
-            if closer is not None:
-                closer()
-        if consumed < len(steps) and not halted[0] and self.deadline_exceeded():
+        if consumed < len(steps) and not halted and self.deadline_exceeded():
             self._note_deadline()
 
     def deadline_exceeded(self) -> bool:
@@ -404,28 +387,6 @@ class RetrievalEngine:
             if self._policy.tolerate_budget_exhaustion:
                 return _HALT  # degrade gracefully: ship what we have
             return _RAISE
-        if isinstance(error, AdmissionRejectedError):
-            # Load shedding: the scheduler refused to queue the call.
-            # Absorbed under the same failure budget as transient source
-            # errors — the plan degrades instead of failing outright —
-            # but counted separately so congestion is visible as such.
-            with self._lock:
-                self._source_failures += 1
-                failures = self._source_failures
-            self.stats.record_failure(
-                failure_query, FailureKind.ADMISSION_REJECTED, str(error)
-            )
-            self.degraded = True
-            if self._telemetry is not None:
-                self._telemetry.count("mediator.load_shed")
-            budget = self._policy.max_source_failures
-            if budget is not None and failures > budget:
-                return _RAISE
-            logger.info(
-                "planned query %r was load-shed by the source scheduler; "
-                "continuing with the remaining plan", step.query,
-            )
-            return _CONTINUE
         if isinstance(error, DeadlineExceededError):
             # A layer below the engine (admission wait, retry backoff,
             # dedup follower timeout) hit the propagated deadline.  Note
@@ -433,22 +394,25 @@ class RetrievalEngine:
             # admitted either.
             self._note_deadline()
             return _HALT
-        if isinstance(error, SourceUnavailableError):
+        transient = next(
+            (rule for cls, rule in _TRANSIENT.items() if isinstance(error, cls)),
+            None,
+        )
+        if transient is not None:
+            kind, counter = transient
             with self._lock:
                 self._source_failures += 1
                 failures = self._source_failures
-            self.stats.record_failure(
-                failure_query, FailureKind.SOURCE_UNAVAILABLE, str(error)
-            )
+            self.stats.record_failure(failure_query, kind, str(error))
             self.degraded = True
             if self._telemetry is not None:
-                self._telemetry.count("mediator.source_failures")
+                self._telemetry.count(counter)
             budget = self._policy.max_source_failures
             if budget is not None and failures > budget:
                 return _RAISE
             logger.info(
-                "planned query %r failed transiently (%s); continuing "
-                "with the remaining plan", step.query, error,
+                "planned query %r was absorbed as %s (%s); continuing "
+                "with the remaining plan", step.query, kind, error,
             )
             return _CONTINUE  # skip this step, the rest of the plan stands
         return _RAISE

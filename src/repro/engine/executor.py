@@ -1,16 +1,23 @@
 """Plan executors: the *how* of a retrieval.
 
 An executor turns a stream of :class:`ExecutionTask` thunks into a
-stream of :class:`TaskOutcome` values.  The contract every executor
-honours:
+stream of :class:`TaskOutcome` values through one method,
+``map(tasks, should_stop, *, ordered=True)``.  The contract every
+executor honours:
 
-* **Plan-order merge.**  Outcomes are yielded strictly in task order,
-  whatever order the underlying calls complete in.  Answer order (and
-  therefore ranking) never depends on the execution strategy.
+* **Merge order.**  With ``ordered=True`` outcomes are yielded strictly
+  in task order, whatever order the underlying calls complete in, so
+  answer order (and therefore ranking) never depends on the execution
+  strategy.  With ``ordered=False`` each outcome surfaces the moment its
+  task finishes, so a fast source call is never held behind a slow
+  earlier one; the non-blocking operator layer
+  (:mod:`repro.engine.operators`) is built on it, and its consumers owe
+  their own deterministic final ordering.
 * **Prefix semantics.**  When ``should_stop()`` turns true, no further
   tasks are *started*; work already in flight runs to completion (a call
   on the wire is never interrupted) but the outcome stream simply ends.
-  The consumed outcomes are always a prefix of the plan.
+  The started tasks are always a prefix of the plan (and, when
+  *ordered*, so are the consumed outcomes).
 * **Errors are data.**  A task that raises yields an outcome carrying
   the exception instead of propagating it; the engine decides whether to
   absorb or re-raise, so failure-budget semantics live in one place.
@@ -20,20 +27,13 @@ historical mediator loop, pulling one task per outcome consumed.
 :class:`ConcurrentExecutor` keeps up to ``max_workers`` tasks in flight
 on a thread pool; it trades the serial executor's strict laziness for
 bounded prefetch.
-
-Both additionally offer ``map_completed``, the streaming relaxation of
-the plan-order contract: outcomes surface in *completion* order, so a
-fast source call is never held behind a slow earlier one.  The
-non-blocking operator layer (:mod:`repro.engine.operators`) is built on
-it; consumers owe their own deterministic final ordering.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Protocol
+from typing import Any, Callable, Generator, Iterable, Protocol
 
 from repro.errors import QpiadError
 
@@ -73,23 +73,11 @@ class PlanExecutor(Protocol):
         self,
         tasks: Iterable[ExecutionTask],
         should_stop: Callable[[], bool],
-    ) -> Iterator[TaskOutcome]:
-        """Yield one outcome per started task, in task order."""
-        ...
-
-    def map_completed(
-        self,
-        tasks: Iterable[ExecutionTask],
-        should_stop: Callable[[], bool],
-    ) -> Iterator[TaskOutcome]:
-        """Yield one outcome per started task, in *completion* order.
-
-        The streaming relaxation of :meth:`map`: outcomes surface the
-        moment their task finishes, so a fast task is never held back
-        behind a slow earlier one.  Consumers that need determinism must
-        impose their own final order (rank at the end, stream in the
-        middle); prefix semantics and errors-are-data still hold.
-        """
+        *,
+        ordered: bool = True,
+    ) -> Generator[TaskOutcome, None, None]:
+        """Yield one outcome per started task: in task order when
+        *ordered*, else in completion order."""
         ...
 
 
@@ -99,7 +87,8 @@ class SerialExecutor:
     This is the default and reproduces the historical mediator loops
     exactly: a task only runs when its outcome is consumed, so a caller
     that stops reading (the streaming interface) never spends budget on
-    queries it did not need.
+    queries it did not need.  Completion order *is* task order here, so
+    *ordered* changes nothing.
 
     *scheduler*, when given, is the process's
     :class:`~repro.resilience.SourceScheduler`; the executor notes each
@@ -118,7 +107,9 @@ class SerialExecutor:
         self,
         tasks: Iterable[ExecutionTask],
         should_stop: Callable[[], bool],
-    ) -> Iterator[TaskOutcome]:
+        *,
+        ordered: bool = True,
+    ) -> Generator[TaskOutcome, None, None]:
         for task in tasks:
             if should_stop():
                 return
@@ -131,25 +122,20 @@ class SerialExecutor:
             else:
                 yield TaskOutcome(task.rank, value=value)
 
-    def map_completed(
-        self,
-        tasks: Iterable[ExecutionTask],
-        should_stop: Callable[[], bool],
-    ) -> Iterator[TaskOutcome]:
-        """Serially, completion order *is* task order — same lazy loop."""
-        return self.map(tasks, should_stop)
-
 
 class ConcurrentExecutor:
-    """Run up to *max_workers* tasks at once; merge outcomes in task order.
+    """Run up to *max_workers* tasks at once on a thread pool.
 
     The window is bounded: at most *max_workers* tasks are in flight (or
     prefetched) beyond what the consumer has read, so issuance stays
-    roughly demand-driven.  When ``should_stop()`` turns true, submission
-    stops; tasks already submitted run to completion (the pool is never
-    cancelled) and any unread outcomes are discarded with it — exactly
-    the serial executor's "break out of the loop" generalised to a
-    window wider than one.
+    roughly demand-driven.  *ordered* only picks which finished task is
+    yielded next — the oldest in the window (task order) or whichever
+    completes first — so one slow call never delays the answers of the
+    fast ones on the streaming path.  When ``should_stop()`` turns true,
+    submission stops; tasks already submitted run to completion (the
+    pool is never cancelled) and any unread outcomes are discarded with
+    it — exactly the serial executor's "break out of the loop"
+    generalised to a window wider than one.
     """
 
     name = "concurrent"
@@ -164,12 +150,15 @@ class ConcurrentExecutor:
         self,
         tasks: Iterable[ExecutionTask],
         should_stop: Callable[[], bool],
-    ) -> Iterator[TaskOutcome]:
+        *,
+        ordered: bool = True,
+    ) -> Generator[TaskOutcome, None, None]:
         iterator = iter(tasks)
         with ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="qpiad-engine"
         ) as pool:
-            window: deque[tuple[ExecutionTask, Future[Any]]] = deque()
+            # Submitted but not yet yielded, oldest first.
+            window: dict[Future[Any], ExecutionTask] = {}
             exhausted = False
             while True:
                 while not exhausted and len(window) < self.max_workers:
@@ -183,59 +172,20 @@ class ConcurrentExecutor:
                         break
                     if self.scheduler is not None:
                         self.scheduler.note_task_start(self.name)
-                    window.append((task, pool.submit(task.run)))
+                    window[pool.submit(task.run)] = task
                 if not window:
                     return
-                task, future = window.popleft()
+                if ordered:
+                    future = next(iter(window))
+                else:
+                    done, __ = wait(window, return_when=FIRST_COMPLETED)
+                    future = next(f for f in window if f in done)
+                task = window.pop(future)
                 error = future.exception()
                 if error is not None:
                     yield TaskOutcome(task.rank, error=error)
                 else:
                     yield TaskOutcome(task.rank, value=future.result())
-
-    def map_completed(
-        self,
-        tasks: Iterable[ExecutionTask],
-        should_stop: Callable[[], bool],
-    ) -> Iterator[TaskOutcome]:
-        """Yield outcomes the moment their call completes, window bounded.
-
-        Up to ``max_workers`` tasks are in flight; whichever finishes
-        first is yielded first and its slot refilled, so one slow source
-        call never delays the answers of the fast ones.  Stopping and
-        error semantics match :meth:`map` — submission stops when
-        ``should_stop()`` turns true, in-flight work completes, and
-        exceptions travel as data.
-        """
-        iterator = iter(tasks)
-        with ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="qpiad-engine"
-        ) as pool:
-            in_flight: dict[Future[Any], ExecutionTask] = {}
-            exhausted = False
-            while True:
-                while not exhausted and len(in_flight) < self.max_workers:
-                    if should_stop():
-                        exhausted = True
-                        break
-                    try:
-                        task = next(iterator)
-                    except StopIteration:
-                        exhausted = True
-                        break
-                    if self.scheduler is not None:
-                        self.scheduler.note_task_start(self.name)
-                    in_flight[pool.submit(task.run)] = task
-                if not in_flight:
-                    return
-                done, __ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    task = in_flight.pop(future)
-                    error = future.exception()
-                    if error is not None:
-                        yield TaskOutcome(task.rank, error=error)
-                    else:
-                        yield TaskOutcome(task.rank, value=future.result())
 
 
 def build_executor(max_concurrency: int, scheduler: Any = None) -> PlanExecutor:

@@ -1,9 +1,10 @@
 """Unit tests of the plan executors' shared contract.
 
-Every executor must (1) merge outcomes strictly in task order, (2) stop
-*starting* tasks once ``should_stop()`` turns true while letting work in
-flight complete, and (3) carry task exceptions as data instead of
-raising them.  The serial executor additionally promises strict
+Every executor must (1) merge outcomes strictly in task order, or in
+completion order under ``map(..., ordered=False)``, (2) stop *starting*
+tasks once ``should_stop()`` turns true while letting work in flight
+complete, and (3) carry task exceptions as data instead of raising
+them.  The serial executor additionally promises strict
 laziness: a task only runs when its outcome is consumed.
 """
 
@@ -27,14 +28,17 @@ def _tasks(thunks):
     return [ExecutionTask(rank, thunk) for rank, thunk in enumerate(thunks)]
 
 
-class TestContract:
-    @pytest.mark.parametrize("executor", EXECUTORS, ids=IDS)
-    def test_outcomes_arrive_in_task_order(self, executor):
-        outcomes = list(
-            executor.map(_tasks([lambda i=i: i * 10 for i in range(20)]), lambda: False)
-        )
-        assert [o.rank for o in outcomes] == list(range(20))
-        assert [o.value for o in outcomes] == [i * 10 for i in range(20)]
+class _EitherOrder:
+    """Cases that hold for both merge orders, run once per ``ordered``.
+
+    Subclasses set ``ordered``; completion-order outcomes are sorted by
+    rank before the checks that plan order must meet as yielded.
+    """
+
+    ordered: bool
+
+    def _map(self, executor, tasks, should_stop=lambda: False):
+        return executor.map(tasks, should_stop, ordered=self.ordered)
 
     @pytest.mark.parametrize("executor", EXECUTORS, ids=IDS)
     def test_errors_are_data_not_raises(self, executor):
@@ -43,9 +47,9 @@ class TestContract:
         def fail():
             raise boom
 
-        outcomes = list(
-            executor.map(_tasks([lambda: 1, fail, lambda: 3]), lambda: False)
-        )
+        outcomes = list(self._map(executor, _tasks([lambda: 1, fail, lambda: 3])))
+        if not self.ordered:
+            outcomes.sort(key=lambda o: o.rank)
         assert [o.value for o in outcomes] == [1, None, 3]
         assert outcomes[1].error is boom
         assert outcomes[0].error is None and outcomes[2].error is None
@@ -62,8 +66,12 @@ class TestContract:
             return run
 
         consumed = []
-        for outcome in executor.map(_tasks([make(i) for i in range(50)]), lambda: len(consumed) >= 3):
+        for outcome in self._map(
+            executor, _tasks([make(i) for i in range(50)]), lambda: len(consumed) >= 3
+        ):
             consumed.append(outcome.value)
+        if not self.ordered:
+            consumed.sort()
         # Consumed outcomes are a prefix of the plan; started tasks are
         # bounded by the consumed prefix plus the executor's window.
         assert consumed == list(range(len(consumed)))
@@ -72,17 +80,36 @@ class TestContract:
 
     @pytest.mark.parametrize("executor", EXECUTORS, ids=IDS)
     def test_empty_plan_is_empty_stream(self, executor):
-        assert list(executor.map([], lambda: False)) == []
+        assert list(self._map(executor, [])) == []
 
 
-class TestMapCompleted:
-    """The streaming relaxation: completion order, same economy and errors."""
+class TestContract(_EitherOrder):
+    """Plan order: ``map(...)``, the default."""
+
+    ordered = True
+
+    @pytest.mark.parametrize("executor", EXECUTORS, ids=IDS)
+    def test_outcomes_arrive_in_task_order(self, executor):
+        outcomes = list(
+            executor.map(_tasks([lambda i=i: i * 10 for i in range(20)]), lambda: False)
+        )
+        assert [o.rank for o in outcomes] == list(range(20))
+        assert [o.value for o in outcomes] == [i * 10 for i in range(20)]
+
+
+class TestMapCompleted(_EitherOrder):
+    """The streaming relaxation, ``map(..., ordered=False)``: completion
+    order, same economy and errors."""
+
+    ordered = False
 
     @pytest.mark.parametrize("executor", EXECUTORS, ids=IDS)
     def test_one_outcome_per_task(self, executor):
         outcomes = list(
-            executor.map_completed(
-                _tasks([lambda i=i: i * 10 for i in range(20)]), lambda: False
+            executor.map(
+                _tasks([lambda i=i: i * 10 for i in range(20)]),
+                lambda: False,
+                ordered=False,
             )
         )
         assert sorted(o.rank for o in outcomes) == list(range(20))
@@ -90,8 +117,8 @@ class TestMapCompleted:
 
     def test_serial_completion_order_is_task_order(self):
         outcomes = list(
-            SerialExecutor().map_completed(
-                _tasks([lambda i=i: i for i in range(10)]), lambda: False
+            SerialExecutor().map(
+                _tasks([lambda i=i: i for i in range(10)]), lambda: False, ordered=False
             )
         )
         assert [o.rank for o in outcomes] == list(range(10))
@@ -107,8 +134,8 @@ class TestMapCompleted:
             return "fast"
 
         outcomes = []
-        for outcome in ConcurrentExecutor(2).map_completed(
-            _tasks([slow, fast]), lambda: False
+        for outcome in ConcurrentExecutor(2).map(
+            _tasks([slow, fast]), lambda: False, ordered=False
         ):
             outcomes.append(outcome)
             # Only once "fast" has been *yielded* may "slow" finish, so
@@ -118,43 +145,6 @@ class TestMapCompleted:
         # path surfaces it first.
         assert [o.value for o in outcomes] == ["fast", "slow"]
         assert [o.rank for o in outcomes] == [1, 0]
-
-    @pytest.mark.parametrize("executor", EXECUTORS, ids=IDS)
-    def test_errors_are_data_not_raises(self, executor):
-        boom = ValueError("boom")
-
-        def fail():
-            raise boom
-
-        outcomes = list(
-            executor.map_completed(_tasks([lambda: 1, fail, lambda: 3]), lambda: False)
-        )
-        by_rank = {o.rank: o for o in outcomes}
-        assert by_rank[1].error is boom
-        assert by_rank[0].value == 1 and by_rank[2].value == 3
-
-    @pytest.mark.parametrize("executor", EXECUTORS, ids=IDS)
-    def test_should_stop_halts_submission(self, executor):
-        ran = []
-
-        def make(i):
-            def run():
-                ran.append(i)
-                return i
-
-            return run
-
-        consumed = []
-        for outcome in executor.map_completed(
-            _tasks([make(i) for i in range(50)]), lambda: len(consumed) >= 3
-        ):
-            consumed.append(outcome.value)
-        assert 3 <= len(consumed)
-        assert len(ran) <= len(consumed) + getattr(executor, "max_workers", 1)
-
-    @pytest.mark.parametrize("executor", EXECUTORS, ids=IDS)
-    def test_empty_plan_is_empty_stream(self, executor):
-        assert list(executor.map_completed([], lambda: False)) == []
 
 
 class TestSerialLaziness:

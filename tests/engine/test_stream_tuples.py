@@ -2,8 +2,8 @@
 
 Contracts: every row of every completed call is yielded exactly once,
 tagged with its step; rows of a fast call are never held behind a slow
-earlier call (completion order); billing and failure absorption are
-identical to the plan-order ``stream``.
+earlier call (completion order); billing, deadline, budget and close
+behaviour are identical to the plan-order ``stream``.
 """
 
 import threading
@@ -17,8 +17,9 @@ from repro.engine import (
     PlannedQuery,
     QueryKind,
     RetrievalEngine,
+    SerialExecutor,
 )
-from repro.errors import SourceUnavailableError
+from repro.errors import QueryBudgetExceededError, SourceUnavailableError
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -158,3 +159,83 @@ class TestStreamTuples:
     def test_empty_plan_is_empty_stream(self):
         source = MappingSource({})
         assert list(_engine(source).stream_tuples([])) == []
+
+
+class TickingSource(MappingSource):
+    """Answers every query with one row; each call advances a fake clock
+    by one second and, past *budget* calls, raises budget exhaustion."""
+
+    def __init__(self, queries, budget=None):
+        super().__init__({query: [(str(i), "x")] for i, query in enumerate(queries)})
+        self.budget = budget
+        self.now = 0.0
+
+    def execute(self, query):
+        with self.lock:
+            self.calls.append(query)
+            self.now += 1.0
+            if self.budget is not None and len(self.calls) > self.budget:
+                raise QueryBudgetExceededError("budget spent")
+        return Relation(SCHEMA, self.answers[query])
+
+
+STREAMS = ["stream", "stream_tuples"]
+WIDTHS = [SerialExecutor, lambda: ConcurrentExecutor(2)]
+
+
+@pytest.mark.parametrize("make_executor", WIDTHS, ids=["serial", "width2"])
+@pytest.mark.parametrize("method", STREAMS)
+class TestStreamContract:
+    """``stream`` and ``stream_tuples`` stop, fail and close alike."""
+
+    QUERIES = [_query(str(i)) for i in range(10)]
+
+    def _stream(self, method, executor, source, policy, stats):
+        engine = RetrievalEngine(
+            source, policy, stats, executor=executor,
+            clock=lambda: source.now, label="test",
+        )
+        return getattr(engine, method)(_plan(self.QUERIES))
+
+    def test_deadline_stops_issuance_and_is_noted_once(self, method, make_executor):
+        source = TickingSource(self.QUERIES)
+        stats = RetrievalStats()
+        executor = make_executor()
+        policy = ExecutionPolicy(deadline_seconds=2.5)
+        list(self._stream(method, executor, source, policy, stats))
+        if isinstance(executor, SerialExecutor):
+            assert len(source.calls) == 3
+        else:
+            # A task starts only while at most two calls have begun; the
+            # window may hold tasks submitted but not yet running.
+            assert 3 <= len(source.calls) <= 2 + executor.max_workers
+        assert [f.kind for f in stats.failures] == ["deadline"]
+        assert stats.queries_issued == len(source.calls)
+
+    def test_budget_exhaustion_halts_once(self, method, make_executor):
+        source = TickingSource(self.QUERIES, budget=3)
+        stats = RetrievalStats()
+        executor = make_executor()
+        list(self._stream(method, executor, source, ExecutionPolicy(), stats))
+        assert [f.kind for f in stats.failures] == ["budget-exhausted"]
+        if isinstance(executor, SerialExecutor):
+            assert len(source.calls) == 4
+        else:
+            assert len(source.calls) <= 3 + 1 + executor.max_workers
+        assert stats.queries_issued == len(source.calls)
+
+    def test_close_after_first_item_leaves_no_pool_thread(self, method, make_executor):
+        def pool_threads():
+            return {
+                thread for thread in threading.enumerate()
+                if thread.name.startswith("qpiad-engine")
+            }
+
+        before = pool_threads()
+        source = TickingSource(self.QUERIES)
+        stats = RetrievalStats()
+        items = self._stream(method, make_executor(), source, ExecutionPolicy(), stats)
+        next(items)
+        items.close()
+        assert pool_threads() <= before
+        assert stats.queries_issued == len(source.calls)
